@@ -153,10 +153,9 @@ func BenchmarkPFabricWebsearch(b *testing.B) {
 
 // BenchmarkShardedFatTree measures single-run parallelism (DESIGN.md §12)
 // on the fat-tree k=16 permutation scenario: the same simulation at 1, 2,
-// 4 and 8 engine shards, plus the timer-wheel backend at 8. Output is
-// byte-identical at every variant (the shard golden tests pin it); only
-// wall clock may differ, and the shards=8/shards=1 ratio is the PR-8
-// acceptance number.
+// 4 and 8 engine shards. Output is byte-identical at every variant (the
+// shard golden tests pin it); only wall clock may differ, and the
+// shards=8/shards=1 ratio is the PR-8 acceptance number.
 func BenchmarkShardedFatTree(b *testing.B) {
 	data, err := os.ReadFile("examples/scenarios/fattree-k16-sharded.json")
 	if err != nil {
@@ -169,13 +168,11 @@ func BenchmarkShardedFatTree(b *testing.B) {
 	for _, v := range []struct {
 		name   string
 		shards int
-		sched  string
 	}{
-		{"shards=1", 1, "heap"},
-		{"shards=2", 2, "heap"},
-		{"shards=4", 4, "heap"},
-		{"shards=8", 8, "heap"},
-		{"shards=8/wheel", 8, "wheel"},
+		{"shards=1", 1},
+		{"shards=2", 2},
+		{"shards=4", 4},
+		{"shards=8", 8},
 	} {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
@@ -183,7 +180,7 @@ func BenchmarkShardedFatTree(b *testing.B) {
 			var sink *exp.Table
 			for i := 0; i < b.N; i++ {
 				sink = scenario.MustRun(spec, exp.Opts{Quick: true, Seed: 1,
-					Parallel: 1, Shards: v.shards, Sched: v.sched})
+					Parallel: 1, Shards: v.shards})
 			}
 			if sink == nil || len(sink.Rows) == 0 {
 				b.Fatal("empty result table")

@@ -7,7 +7,7 @@
 //	pdqsim -exp fig3a [-seed 7]
 //	pdqsim -exp all -quick
 //	pdqsim -exp all -quick -parallel 8 -trials 5 -json
-//	pdqsim -scenario examples/scenarios/fattree-k16-sharded.json -shards 8 -sched wheel
+//	pdqsim -scenario examples/scenarios/fattree-k16-sharded.json -shards 8
 //	pdqsim -scenario examples/scenarios/incast.json -quick
 //	pdqsim -scenario examples/scenarios/incast.json -trace flows.jsonl -probe probes.csv
 //	pdqsim -exp all -quick -cache
@@ -78,7 +78,6 @@ func main() {
 		seed        = flag.Int64("seed", 0, "base RNG seed (0 = default seed 1)")
 		parallel    = flag.Int("parallel", 0, "sweep worker count (0 = one per core, 1 = serial)")
 		shards      = flag.Int("shards", 0, "event-engine shards per simulation (0/1 = single engine; only shard-safe runners shard, output is byte-identical at any count)")
-		sched       = flag.String("sched", "", "engine timer backend: heap (default) or wheel (identical firing order, different cost profile)")
 		trials      = flag.Int("trials", 1, "replicates per sweep point (reports mean ± stderr)")
 		jsonOut     = flag.Bool("json", false, "emit tables as JSON instead of text")
 		traceOut    = flag.String("trace", "", "write per-flow completion records to this JSONL file")
@@ -145,7 +144,7 @@ func main() {
 	}, logger)
 
 	opts := exp.Opts{Quick: *quick, Seed: *seed, Parallel: *parallel, Trials: *trials,
-		MaxEvents: *maxEvents, Shards: *shards, Sched: *sched, Obs: obs}
+		MaxEvents: *maxEvents, Shards: *shards, Obs: obs}
 	if *cellTimeout > 0 {
 		// The engine never reads a wall clock (pdqlint enforces it); the
 		// watchdog factory injects one from out here. Each cell arms a

@@ -307,7 +307,7 @@ func (s *Schedule) Apply(t *topo.Topology, sys any, ct *trace.CellTrace) {
 	}
 }
 
-// applySharded installs the schedule into a sharded run (DESIGN.md §12.5).
+// applySharded installs the schedule into a sharded run (DESIGN.md §12.4).
 // Fault state is split by ownership: each affected link direction gets (a)
 // an immutable downPlan — the sorted toggle timeline — read by delivery
 // events on the To shard, and (b) toggle events for its From-owned down

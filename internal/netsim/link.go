@@ -21,10 +21,11 @@ const (
 //
 // Packet timing is handled by a timestamp serializer (DESIGN.md §3): each
 // accepted packet is stamped with its serialization-completion time,
-// threaded onto an intrusive FIFO, and scheduled for delivery with a single
-// pooled event (the Packet itself is the callback) — one event per packet
-// instead of the three (start/complete/deliver) a naive model schedules,
-// and no per-packet closures. Queue occupancy and the Tx counters are
+// threaded onto an intrusive FIFO, and scheduled for delivery as one event
+// (the Packet itself is the callback) on the link's delivery stream — one
+// event per packet instead of the three (start/complete/deliver) a naive
+// model schedules, no per-packet closures, and one engine entry per busy
+// link rather than per packet. Queue occupancy and the Tx counters are
 // settled lazily from the timestamps, ordered against the engine's
 // (at, ta, tie, seq) event order, so reads must go through the accessor
 // methods.
@@ -83,6 +84,11 @@ type Link struct {
 	// or undergoing serialization, in enqueue order. serDone times are
 	// monotone along the chain.
 	qHead, qTail *Packet
+
+	// deliveries is the single engine's delivery stream: every packet
+	// whose delivery is pending, in delivery order. The engine holds one
+	// entry for the whole stream, keyed by its head (DESIGN.md §3).
+	deliveries deliveryQueue
 
 	// Fault-injection state (DESIGN.md §11). down drops every packet
 	// touching the link — at enqueue and at delivery, so in-flight packets
@@ -431,8 +437,9 @@ func (l *Link) Enqueue(pkt *Packet) {
 // emitDelivery schedules pkt's delivery event, stamped with the link's
 // canonical channel key — (link ID, per-link counter), the structural tie
 // that orders same-(at, ta) deliveries identically on the single engine
-// and across shard barriers. Single-engine runs schedule the keyed event
-// directly; sharded runs post the same key to the mailbox (even when From
+// and across shard barriers. Single-engine runs append the packet to the
+// link's delivery stream, which takes an engine entry only when it was
+// empty; sharded runs post the same key to the mailbox (even when From
 // and To share a shard — injection points must be partition-independent)
 // and enroll the link for barrier settling.
 //
@@ -441,13 +448,14 @@ func (l *Link) emitDelivery(pkt *Packet, now, done sim.Time) {
 	l.handoffCtr++
 	pkt.enqTa = now
 	pkt.enqTie = uint64(l.ID+1)<<32 | uint64(l.handoffCtr)
+	due := done + l.PropDelay + l.ProcDelay
 	if sh := l.net.shard; sh != nil {
 		if !l.dirty {
 			l.dirty = true
 			l.net.dirtyLinks[l.shard] = append(l.net.dirtyLinks[l.shard], l)
 		}
 		sh.Post(int(l.shard), sim.Handoff{
-			Due:   done + l.PropDelay + l.ProcDelay,
+			Due:   due,
 			Ta:    now,
 			Pa:    l.ownSim.EventTa(),
 			Link:  uint32(l.ID),
@@ -458,7 +466,51 @@ func (l *Link) emitDelivery(pkt *Packet, now, done sim.Time) {
 		})
 		return
 	}
-	l.ownSim.AtRunnerKeyed(done+l.PropDelay+l.ProcDelay, pkt.enqTie, pkt)
+	// The stream's merge into the engine's order is exact only if its
+	// keys increase along the FIFO. enqTa never decreases and the counter
+	// always grows, so that reduces to due never decreasing: serDone is
+	// monotone, but a delay changed under in-flight packets could break it.
+	q := &l.deliveries
+	pkt.due = due
+	pkt.dNext = nil
+	first := q.tail == nil
+	if first {
+		q.head = pkt
+	} else {
+		if due < q.tail.due {
+			l.panicDeliveryOrder(due)
+		}
+		q.tail.dNext = pkt
+	}
+	q.tail = pkt
+	l.ownSim.StreamAt(due, pkt.enqTie, q, first)
+}
+
+// panicDeliveryOrder is emitDelivery's cold failure path, kept out of the
+// annotated hot function so it stays free of fmt.
+func (l *Link) panicDeliveryOrder(due sim.Time) {
+	panic(fmt.Sprintf("netsim: %v delivery due %v precedes the pending delivery due %v", l, due, l.deliveries.tail.due))
+}
+
+// deliveryQueue is a link's pending-delivery FIFO on the single engine,
+// threaded through Packet.dNext; the (due, enqTa, enqTie) keys strictly
+// increase along it. It is the link's sim.Stream.
+type deliveryQueue struct{ head, tail *Packet }
+
+// PopHead implements sim.Stream: it unlinks the head packet — before its
+// delivery runs, so the packet can join its next hop's stream — and
+// returns it with the key of the next pending delivery.
+//
+//pdq:hotpath
+func (q *deliveryQueue) PopHead() (head sim.Runner, at, ta sim.Time, tie uint64, more bool) {
+	p := q.head
+	q.head = p.dNext
+	p.dNext = nil
+	if n := q.head; n != nil {
+		return p, n.due, n.enqTa, n.enqTie, true
+	}
+	q.tail = nil
+	return p, 0, 0, 0, false
 }
 
 // schedEnqueue is the reordering-discipline path: the qdisc buffers

@@ -142,6 +142,12 @@ type Packet struct {
 	serDone  sim.Time
 	enqTa    sim.Time
 	enqTie   uint64
+
+	// Delivery-stream state on the single engine (DESIGN.md §3): the
+	// linkage of the link's pending-delivery FIFO and the delivery time.
+	// (due, enqTa, enqTie) is the delivery event's order key.
+	dNext *Packet
+	due   sim.Time
 }
 
 // RunEvent implements sim.Runner: it fires when the packet has fully

@@ -1,9 +1,11 @@
 package netsim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"pdq/internal/obsv"
 	"pdq/internal/sim"
 )
 
@@ -286,4 +288,64 @@ func TestMSSAccounting(t *testing.T) {
 	if over < 0.02 || over > 0.05 {
 		t.Errorf("overhead %.3f out of expected range", over)
 	}
+}
+
+// TestDeliveryStreamOneEntryPerLink pins the delivery stream: a burst on
+// one link holds a single engine entry however many deliveries it has
+// pending, every delivery still counts as a pending event, and the
+// packets arrive in FIFO order one serialization time apart.
+func TestDeliveryStreamOneEntryPerLink(t *testing.T) {
+	n, a, b, path := line(t)
+	st := &obsv.EngineStats{}
+	n.Sim.SetStats(st)
+	const burst = 10
+	var sent []*Packet
+	for i := 0; i < burst; i++ {
+		sent = append(sent, mkpkt(a, b, path, 1500))
+		n.Send(sent[i])
+	}
+	if got := n.Sim.Pending(); got != burst {
+		t.Fatalf("pending = %d, want %d", got, burst)
+	}
+	if got := st.QueueHWM.Value(); got != 1 {
+		t.Fatalf("queue high-water = %d after a one-link burst, want 1", got)
+	}
+	n.Sim.Run()
+	cb := b.Agent.(*collector)
+	if len(cb.got) != burst {
+		t.Fatalf("delivered %d packets, want %d", len(cb.got), burst)
+	}
+	tx := sim.Time(12 * sim.Microsecond)
+	for i := range sent {
+		if cb.got[i] != sent[i] {
+			t.Fatalf("delivery %d is not the %d-th packet sent: FIFO order violated", i, i)
+		}
+		if i > 0 && cb.at[i]-cb.at[i-1] != tx {
+			t.Fatalf("delivery %d at %v, previous at %v: want one tx time %v apart", i, cb.at[i], cb.at[i-1], tx)
+		}
+	}
+	if got, want := st.Fired.Value(), uint64(2*burst); got != want {
+		t.Errorf("fired = %d, want %d (one delivery per packet per hop)", got, want)
+	}
+}
+
+// TestDeliveryStreamOrderGuard pins the precondition the delivery stream
+// rests on: a link's deliveries must be due in enqueue order. Cutting a
+// link's processing delay under an in-flight packet makes the next
+// packet due before it, and emitDelivery must refuse rather than let the
+// engine fire deliveries out of order.
+func TestDeliveryStreamOrderGuard(t *testing.T) {
+	n, a, b, path := line(t)
+	n.Send(mkpkt(a, b, path, 1500))
+	path[0].ProcDelay = 0
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("out-of-order delivery did not panic")
+		}
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "precedes the pending delivery") {
+			t.Fatalf("unexpected panic: %v", r)
+		}
+	}()
+	n.Send(mkpkt(a, b, path, 40))
 }

@@ -132,7 +132,7 @@ func (o *Observer) registerStandard() {
 		func(s RuntimeSnapshot) uint64 { return s.Fired })
 	counter("pdq_engine_events_cancelled_total", "Events cancelled before firing.",
 		func(s RuntimeSnapshot) uint64 { return s.Cancelled })
-	r.Register(Metric{Name: "pdq_engine_queue_highwater", Help: "High-water mark of pending events in any engine (heap depth or wheel occupancy).", Type: TypeGauge, Collect: func(w *promWriter) {
+	r.Register(Metric{Name: "pdq_engine_queue_highwater", Help: "High-water mark of event-heap entries in any engine: one per pending timer plus one per busy link's delivery stream.", Type: TypeGauge, Collect: func(w *promWriter) {
 		w.Value("pdq_engine_queue_highwater", nil, float64(rt.Snapshot().QueueHWM))
 	}})
 	counter("pdq_shard_windows_total", "Barrier windows executed by shard groups.",

@@ -145,10 +145,11 @@ func (h *Histogram) Cumulative(i int) uint64 {
 // instance; the shard driver merges them into the shared Runtime at
 // barriers, when the workers are quiescent (DESIGN.md §13.2).
 type EngineStats struct {
-	Scheduled Counter // events scheduled (At/AtRunner/After and handoff injection)
+	Scheduled Counter // events scheduled (At/AtRunner/After, stream events and handoff injection)
 	Fired     Counter // events executed
 	Cancelled Counter // events removed by Cancel before firing
-	// QueueHWM is the high-water mark of the pending-event count — heap
-	// depth on the heap backend, live occupancy on the timer wheel.
+	// QueueHWM is the high-water mark of the engine's heap depth: one
+	// entry per pending timer plus one per non-empty stream (a busy
+	// link's deliveries), not one per pending event.
 	QueueHWM HighWater
 }

@@ -58,10 +58,6 @@ type Opts struct {
 	// simulation over this many parallel event-loop shards.
 	Shards int
 
-	// Sched overrides the spec's timer backend when non-empty: "heap"
-	// (the default 4-ary heap) or "wheel" (the hierarchical timer wheel).
-	Sched string
-
 	// Obs, when non-nil, is the process observability plane (DESIGN.md
 	// §13): Run registers the scenario as a sweep run on it, cells report
 	// their state machine to it, and simulated engines merge event-loop

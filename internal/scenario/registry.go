@@ -45,10 +45,6 @@ type RunCtx struct {
 	// on it; everything else ignores it and stays byte-identical.
 	Shards int
 
-	// Sched is the resolved timer backend: "" or "heap" for the 4-ary
-	// heap, "wheel" for the hierarchical timer wheel.
-	Sched string
-
 	// Obs, when non-nil, is the shared runtime aggregate (DESIGN.md §13):
 	// packet-level runners attach per-engine instrument blocks and merge
 	// them into it when the cell finishes (or, sharded, at barriers).

@@ -117,8 +117,8 @@ type rowKey struct {
 }
 
 // engKey is the run-level cache-key material shared by every cell.
-// Shards and Sched are folded in only at non-default values, so every
-// pre-existing cache entry keyed without them stays addressable.
+// Shards is folded in only at non-default values, so every pre-existing
+// cache entry keyed without it stays addressable.
 type engKey struct {
 	Salt      string  `json:"salt"`
 	Mode      string  `json:"mode,omitempty"`
@@ -127,7 +127,6 @@ type engKey struct {
 	RateStep  float64 `json:"rate_step,omitempty"`
 	Horizon   int64   `json:"horizon"`
 	Shards    int     `json:"shards,omitempty"`
-	Sched     string  `json:"sched,omitempty"`
 }
 
 // column is one compiled sweep point: topology construction, flow
@@ -181,8 +180,7 @@ type engine struct {
 	keyEng    engKey
 	maxEvents uint64
 	watchdog  func(interrupt func()) (stop func())
-	shards    int    // resolved shard count (Opts overrides the spec)
-	sched     string // resolved timer backend: "" (heap) or "wheel"
+	shards    int // resolved shard count (Opts overrides the spec)
 	obs       *obsv.Observer
 	progress  *obsv.SweepStats
 
@@ -237,21 +235,9 @@ func compile(s *Spec, o Opts) (*engine, error) {
 	if e.shards < 0 {
 		return nil, fmt.Errorf("shards %d must be >= 0", e.shards)
 	}
-	e.sched = o.Sched
-	if e.sched == "" {
-		e.sched = s.Sched
-	}
-	switch e.sched {
-	case "", "heap":
-		e.sched = "" // one canonical spelling of the default backend
-	case "wheel":
-	default:
-		return nil, fmt.Errorf("unknown sched backend %q (available: heap, wheel)", e.sched)
-	}
 	e.keyEng = engKey{
 		Salt: cacheSalt, Mode: e.mode, Threshold: e.threshold,
 		Steps: e.steps, RateStep: e.rateStep, Horizon: int64(e.horizon),
-		Sched: e.sched,
 	}
 	if e.shards > 1 {
 		e.keyEng.Shards = e.shards
@@ -764,7 +750,7 @@ func bindRunner(name string, given map[string]float64) (func(seed int64) RunnerF
 func (e *engine) simulate(r *row, at int, col *column, build func() *topo.Topology, flows []workload.Flow, seed int64, colLabel string, run int) []workload.Result {
 	rc := RunCtx{Horizon: e.horizon, Qdisc: r.qdisc, Faults: col.faults,
 		MaxEvents: e.maxEvents, Watchdog: e.watchdog,
-		Shards: e.shards, Sched: e.sched}
+		Shards: e.shards}
 	if e.obs != nil {
 		rc.Obs = e.obs.Runtime
 		rc.Clock = e.obs.Clock

@@ -172,19 +172,9 @@ func mkPacketLevel(install func(t *topo.Topology) protoSystem, shardSafe bool) R
 				l.SetQdisc(rc.Qdisc())
 			}
 		}
-		// Sharding and the timer backend are decided before any event is
-		// scheduled: EnableSharding validates the topology against the
-		// lookahead, and UseWheel refuses a non-empty queue.
+		// Sharding is decided before any event is scheduled:
+		// EnableSharding validates the topology against the lookahead.
 		g := shardGroupFor(t, rc, sys, shardSafe)
-		if rc.Sched == "wheel" {
-			if g != nil {
-				for i := 0; i < g.Shards(); i++ {
-					g.Shard(i).UseWheel()
-				}
-			} else {
-				t.Sim().UseWheel()
-			}
-		}
 		// Faults are applied after installation and before telemetry or any
 		// flow start — always the same code position, so fault event
 		// sequence numbers are deterministic (DESIGN.md §11).

@@ -87,26 +87,6 @@ func TestShardGoldenFaulted(t *testing.T) {
 	}
 }
 
-// TestWheelMatchesHeap pins that the timer-wheel backend reproduces the
-// heap's tables byte-for-byte, sharded or not: the wheel preserves exact
-// (time, seq) firing order, so it must be invisible in results.
-func TestWheelMatchesHeap(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		heap, err := Run(shardedSpec("TCP"), Opts{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wheel, err := Run(shardedSpec("TCP"), Opts{Shards: shards, Sched: "wheel"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if heap.String() != wheel.String() {
-			t.Errorf("shards=%d: wheel diverges from heap:\n--- heap\n%s\n--- wheel\n%s",
-				shards, heap, wheel)
-		}
-	}
-}
-
 // TestShardUnsafeRunnerFallsBack pins that a runner without the
 // shard-safe contract ignores the shard count entirely: D3 is not
 // marked shard-safe, so it must run the single engine and match.
@@ -245,15 +225,5 @@ func TestShardFallbackReasons(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestBadSchedRejected pins that an unknown timer backend is a spec
-// error, not a silent heap fallback.
-func TestBadSchedRejected(t *testing.T) {
-	s := shardedSpec("TCP")
-	s.Sched = "nope"
-	if _, err := Run(s, Opts{}); err == nil {
-		t.Fatal("Run accepted an unknown sched backend")
 	}
 }

@@ -54,11 +54,6 @@ type Spec struct {
 	// single engine, whose output is byte-identical by construction. The
 	// pdqsim -shards flag overrides this field.
 	Shards int `json:"shards,omitempty"`
-	// Sched selects the engine's timer backend: "heap" (default, the
-	// slot-pooled 4-ary heap) or "wheel" (the hierarchical timer wheel
-	// for dense-timer regimes). Firing order is identical either way.
-	// The pdqsim -sched flag overrides this field.
-	Sched string `json:"sched,omitempty"`
 }
 
 // FaultSpec is one declarative fault, times in milliseconds. Kind selects

@@ -2,16 +2,19 @@
 //
 // The engine is the substrate for the packet-level network simulator used to
 // reproduce the PDQ paper (Hong et al., SIGCOMM 2012). Events are ordered by
-// (time, sequence number), where the sequence number is assigned at schedule
-// time, so simulations are fully deterministic: the same seed and the same
+// the key (at, ta, tie, seq): firing time, scheduling instant, structural
+// tie-break key and a sequence number assigned at schedule time. The key is
+// unique, so simulations are fully deterministic: the same seed and the same
 // schedule produce the same execution, event for event (see DESIGN.md §1).
 //
-// Internally the queue is a slot-pooled indexed 4-ary min-heap: event
-// records live in a flat slice and are recycled through a free list on fire
-// or cancel, so a steady-state simulation schedules events without
+// Internally the queue is a 4-ary min-heap of inline keys over a slot pool:
+// event records live in a flat slice and are recycled through a free list
+// on fire or cancel, so a steady-state simulation schedules events without
 // allocating (DESIGN.md §2). EventRef is a (slot, generation) handle:
 // recycling a slot bumps its generation, so a stale handle held after its
-// event fired can never cancel the slot's next occupant.
+// event fired can never cancel the slot's next occupant. A Stream — a FIFO
+// of events with increasing keys, such as one link's deliveries — holds a
+// single heap entry keyed by its head, re-keyed in place as it fires.
 //
 // Time is an integer number of nanoseconds since the start of the
 // simulation. At 1 Gbps one bit lasts one nanosecond, so nanosecond
@@ -71,23 +74,48 @@ func FromSeconds(s float64) Time { return Time(math.Round(s * float64(Second))) 
 
 // Runner is an event callback bound to a pre-existing object. Scheduling a
 // Runner with AtRunner stores the interface value directly in the pooled
-// event record, so hot paths that fire one event per object (netsim
-// schedules one delivery per packet) stay allocation-free: boxing a pointer
-// into an interface does not allocate.
+// event record, so hot paths that fire one event per object stay
+// allocation-free: boxing a pointer into an interface does not allocate.
 type Runner interface {
 	// RunEvent is invoked when the event fires.
 	RunEvent()
 }
 
+// Stream is a FIFO event source whose events' (at, ta, tie) keys strictly
+// increase along the FIFO — a netsim link's pending deliveries. However
+// many events a stream holds, it occupies one engine entry, keyed by its
+// head event: the heap orders streams by their heads, and because each
+// stream is internally sorted, the pop sequence is exactly that of a heap
+// holding every event separately (DESIGN.md §3).
+type Stream interface {
+	// PopHead detaches the stream's head event and returns its runner,
+	// together with the key of the new head; more is false when the
+	// stream is now empty.
+	PopHead() (head Runner, at, ta Time, tie uint64, more bool)
+}
+
 // event is a pooled scheduled-callback record. Records are recycled through
 // Sim.free; gen distinguishes successive occupants of the same slot.
-// Exactly one of fn and runner is set.
+// Exactly one of fn, runner and stream is set. The event's order key lives
+// inline in its heap entry (see entry), not here.
+type event struct {
+	fn     func()
+	runner Runner
+	stream Stream
+	idx    int32  // position in Sim.order, -1 while free
+	gen    uint32 // bumped on every release; see EventRef
+}
+
+// entry is one position of the heap: an event's full order key, kept
+// inline so that comparisons never leave Sim.order, and its pool slot.
 //
-// ta is the scheduling instant: the simulation time at which the event was
-// scheduled. tie is the structural tie-break key: 0 for locally scheduled
-// events (timers), and a nonzero channel key — (link+1)<<32 | per-link
-// counter for netsim deliveries — for channel events. The full event order
-// is (at, ta, tie, seq).
+// at is the firing time and ta the scheduling instant: the simulation
+// time at which the event was scheduled. tie is the structural tie-break
+// key: 0 for locally scheduled events (timers), and a nonzero channel key
+// — (link+1)<<32 | per-link counter for netsim deliveries — for channel
+// events. seq is assigned from a counter at schedule time (and afresh when
+// a stream entry is re-keyed to its next head). The full event order is
+// (at, ta, tie, seq).
 //
 // ta and tie exist for the sharded engine (shard.go, DESIGN.md §14): the
 // order of two events must not depend on how the simulation is
@@ -96,19 +124,39 @@ type Runner interface {
 // coincidences order by the structural key (tie — the producing channel's
 // identity and its private counter, also partition-independent). Locally
 // scheduled events carry tie 0, so at a full (at, ta) coincidence local
-// timers fire before channel deliveries. seq — assigned at schedule time,
-// partition-dependent for barrier-injected handoffs — is only reached by
-// events of one object's own making, whose relative seq order a shard
-// reproduces at any partitioning.
-type event struct {
-	at     Time
-	ta     Time // scheduling instant; orders same-at events before tie
-	tie    uint64
-	seq    uint64
-	fn     func()
-	runner Runner
-	idx    int32  // position in Sim.order, -1 while free or firing
-	gen    uint32 // bumped on every release; see EventRef
+// timers fire before channel deliveries. Channel keys are unique, so seq
+// is only reached by two timers of one engine, whose relative seq order a
+// shard reproduces at any partitioning.
+type entry struct {
+	at   Time
+	ta   Time
+	tie  uint64
+	seq  uint64
+	slot int32
+}
+
+// before reports whether e orders strictly before o. Sequence numbers are
+// unique, so this is a strict total order and the pop sequence is
+// independent of the heap's internal layout.
+func (e *entry) before(o *entry) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	if e.ta != o.ta {
+		return e.ta < o.ta
+	}
+	if e.tie != o.tie {
+		return e.tie < o.tie
+	}
+	return e.seq < o.seq
+}
+
+// set copies e into the entry field by field. The sift functions take
+// their entry by value, in registers, and spill it to the stack in 8-byte
+// words; a whole-struct copy reloads those words as 16-byte vectors, which
+// defeats store-to-load forwarding and stalls every schedule and fire.
+func (e *entry) set(o *entry) {
+	e.at, e.ta, e.tie, e.seq, e.slot = o.at, o.ta, o.tie, o.seq, o.slot
 }
 
 // EventRef identifies a scheduled event so it can be canceled. The zero
@@ -132,14 +180,17 @@ func (r EventRef) Valid() bool { return r.slot != 0 }
 type Sim struct {
 	now       Time
 	seq       uint64
-	firing    uint64  // seq of the executing event + 1, 0 when idle (see EventSeq)
-	firingTa  Time    // ta of the executing event, valid while firing != 0
-	firingTie uint64  // tie of the executing event, valid while firing != 0
+	firing    bool    // an event's callback is executing
+	firingTa  Time    // ta of the executing event, valid while firing
+	firingTie uint64  // tie of the executing event, valid while firing
 	pool      []event // slot-indexed event records
 	free      []int32 // recycled slots
-	order     []int32 // 4-ary min-heap of occupied slots, keyed by (at, seq)
-	nRun      uint64
-	halted    bool
+	order     []entry // 4-ary min-heap keyed by (at, ta, tie, seq)
+	// streamed counts stream events waiting behind their stream's head:
+	// scheduled, but not yet in order.
+	streamed int
+	nRun     uint64
+	halted   bool
 
 	// maxEvents, when nonzero, bounds the total number of events this Sim
 	// may execute; exceeding it panics with EventLimitError. It is the
@@ -149,12 +200,6 @@ type Sim struct {
 	// via Interrupt and polled by RunUntil every interruptStride events.
 	interrupted atomic.Bool
 
-	// wheel, when non-nil, replaces the 4-ary heap with the hierarchical
-	// timer wheel backend (wheel.go). Selected by UseWheel before any
-	// event is scheduled; the pop order is identical — exact (time, seq) —
-	// so the backends are interchangeable per run (DESIGN.md §12.4).
-	wheel *wheel
-
 	// stats, when non-nil, receives event-loop counters (DESIGN.md §13).
 	// It is plain and owned by this Sim's goroutine: the shard driver
 	// merges it into the shared aggregate only at barriers, so enabling
@@ -162,11 +207,6 @@ type Sim struct {
 	// synchronization. Nil (the default) keeps the paths untouched.
 	stats *obsv.EngineStats
 }
-
-// wheelIdx is the idx sentinel marking a pooled event as scheduled in the
-// wheel backend (the heap's idx is its heap position; the wheel needs
-// only "scheduled" vs "free/firing").
-const wheelIdx int32 = -2
 
 // interruptStride is how often (in events) RunUntil polls the interrupt
 // flag: a power of two so the check compiles to a mask, rare enough that
@@ -222,66 +262,23 @@ func (s *Sim) SetStats(st *obsv.EngineStats) { s.stats = st }
 // Stats returns the attached instrument block, or nil.
 func (s *Sim) Stats() *obsv.EngineStats { return s.stats }
 
-// UseWheel switches the scheduling backend from the 4-ary heap to the
-// hierarchical timer wheel. It must be called before any event is
-// scheduled (the scenario layer calls it right after the topology is
-// built); switching with events pending panics. The firing order is
-// identical to the heap's — exact (time, seq) — only the cost profile
-// changes (O(1) schedule/cancel for dense-timer regimes).
-func (s *Sim) UseWheel() {
-	if s.wheel != nil {
-		return
-	}
-	if len(s.order) > 0 {
-		panic("sim: UseWheel with events already scheduled")
-	}
-	s.wheel = &wheel{}
-}
-
-// Wheel reports whether the wheel backend is active.
-func (s *Sim) Wheel() bool { return s.wheel != nil }
-
 // Now returns the current simulation time.
 func (s *Sim) Now() Time { return s.now }
 
 // Processed returns the number of events executed so far.
 func (s *Sim) Processed() uint64 { return s.nRun }
 
-// Pending returns the number of events currently scheduled.
-func (s *Sim) Pending() int {
-	if s.wheel != nil {
-		return s.wheel.live
-	}
-	return len(s.order)
-}
-
-// EventSeq is the simulation's logical order point: the sequence number of
-// the event currently executing, or — when no event is executing — the next
-// sequence number to be assigned, which is greater than every fired event's.
-// Together with Now it totally orders any observation against the (time,
-// seq) event order; netsim's lazy link accounting uses it to settle
-// exact-instant ties exactly as an eager event-per-transition model would
-// (DESIGN.md §3).
-func (s *Sim) EventSeq() uint64 {
-	if s.firing != 0 {
-		return s.firing - 1
-	}
-	return s.seq
-}
-
-// NextSeq is the sequence number the next scheduled event will receive.
-// Recording it immediately before an At/AtRunner call stamps the scheduled
-// event's position in the engine's total order.
-func (s *Sim) NextSeq() uint64 { return s.seq }
+// Pending returns the number of events currently scheduled, counting
+// every event a stream holds.
+func (s *Sim) Pending() int { return len(s.order) + s.streamed }
 
 // EventTa is the scheduling instant (ta) of the event currently executing,
-// or Now when no event is executing. Because an event's seq is assigned at
-// its scheduling instant, two same-instant ops on one engine execute in the
-// order of their parent events' ta — EventTa exposes that parent instant so
-// the sharded engine can reproduce the tie order across shard boundaries
-// (see Handoff.Pa in shard.go).
+// or Now when no event is executing. Two same-instant ops on one engine
+// execute in the order of their parent events' ta — EventTa exposes that
+// parent instant so the sharded engine can reproduce the tie order across
+// shard boundaries (see Handoff.Pa in shard.go).
 func (s *Sim) EventTa() Time {
-	if s.firing != 0 {
+	if s.firing {
 		return s.firingTa
 	}
 	return s.now
@@ -290,64 +287,45 @@ func (s *Sim) EventTa() Time {
 // EventTie is the structural tie-break key of the event currently
 // executing (0 for local timers, the producing channel key for
 // deliveries), or the maximal key when no event is executing — an idle
-// observer orders after every same-instant transition, like EventSeq's
-// idle value. Together with Now and EventTa it totally orders any
-// observation against the (at, ta, tie, seq) event order; netsim's lazy
-// link accounting settles exact-instant ties with it (DESIGN.md §3, §14).
+// observer orders after every same-instant transition. Together with Now
+// and EventTa it totally orders any observation against the
+// (at, ta, tie, seq) event order; netsim's lazy link accounting settles
+// exact-instant ties with it (DESIGN.md §3, §14).
 func (s *Sim) EventTie() uint64 {
-	if s.firing != 0 {
+	if s.firing {
 		return s.firingTie
 	}
 	return ^uint64(0)
 }
 
-// less orders slots by (time, scheduling instant, structural key,
-// sequence). Sequence numbers are unique, so this is a strict total order
-// and the pop sequence is independent of the heap's internal layout. The
-// ta and tie comparisons make the order partition-independent (see the
-// event doc): same-instant channel deliveries order by their canonical
-// channel key on the single engine exactly as barrier injection orders
-// them in sharded runs.
-func (s *Sim) less(a, b int32) bool {
-	ea, eb := &s.pool[a], &s.pool[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
-	}
-	if ea.ta != eb.ta {
-		return ea.ta < eb.ta
-	}
-	if ea.tie != eb.tie {
-		return ea.tie < eb.tie
-	}
-	return ea.seq < eb.seq
-}
-
-// siftUp moves the slot at heap position i toward the root.
+// siftUp places e, which belongs at heap position i, moving it toward
+// the root. e is passed in rather than read back from order, so a caller
+// that has just built it never stores and reloads it.
 //
 //pdq:hotpath
-func (s *Sim) siftUp(i int) {
-	slot := s.order[i]
+func (s *Sim) siftUp(i int, e entry) {
+	o := s.order
 	for i > 0 {
 		p := (i - 1) / 4
-		if !s.less(slot, s.order[p]) {
+		if !e.before(&o[p]) {
 			break
 		}
-		s.order[i] = s.order[p]
-		s.pool[s.order[i]].idx = int32(i)
+		o[i] = o[p]
+		s.pool[o[i].slot].idx = int32(i)
 		i = p
 	}
-	s.order[i] = slot
-	s.pool[slot].idx = int32(i)
+	o[i].set(&e)
+	s.pool[e.slot].idx = int32(i)
 }
 
-// siftDown moves the slot at heap position i toward the leaves and reports
-// whether it moved.
+// siftDown places e, which belongs at heap position i, moving it toward
+// the leaves, and reports whether it moved.
 //
 //pdq:hotpath
-func (s *Sim) siftDown(i int) bool {
+func (s *Sim) siftDown(i int, e entry) bool {
 	start := i
-	n := len(s.order)
-	slot := s.order[i]
+	o := s.order
+	n := len(o)
 	for {
 		first := 4*i + 1
 		if first >= n {
@@ -359,19 +337,19 @@ func (s *Sim) siftDown(i int) bool {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if s.less(s.order[c], s.order[best]) {
+			if o[c].before(&o[best]) {
 				best = c
 			}
 		}
-		if !s.less(s.order[best], slot) {
+		if !o[best].before(&e) {
 			break
 		}
-		s.order[i] = s.order[best]
-		s.pool[s.order[i]].idx = int32(i)
+		o[i] = o[best]
+		s.pool[o[i].slot].idx = int32(i)
 		i = best
 	}
-	s.order[i] = slot
-	s.pool[slot].idx = int32(i)
+	o[i].set(&e)
+	s.pool[e.slot].idx = int32(i)
 	return i > start
 }
 
@@ -380,34 +358,16 @@ func (s *Sim) siftDown(i int) bool {
 //pdq:hotpath
 func (s *Sim) heapRemove(i int) {
 	n := len(s.order) - 1
-	last := s.order[n]
-	s.order = s.order[:n]
 	if i == n {
+		s.order = s.order[:n]
 		return
 	}
-	s.order[i] = last
-	s.pool[last].idx = int32(i)
-	if !s.siftDown(i) {
-		s.siftUp(i)
-	}
-}
-
-// popMin removes the earliest event from the heap and returns its slot.
-// The slot is NOT released; the caller still owns its fields.
-//
-//pdq:hotpath
-func (s *Sim) popMin() int32 {
-	top := s.order[0]
-	n := len(s.order) - 1
-	last := s.order[n]
+	var last entry
+	last.set(&s.order[n])
 	s.order = s.order[:n]
-	if n > 0 {
-		s.order[0] = last
-		s.pool[last].idx = 0
-		s.siftDown(0)
+	if !s.siftDown(i, last) {
+		s.siftUp(i, last)
 	}
-	s.pool[top].idx = -1
-	return top
 }
 
 // release recycles a slot: the callback is dropped (so it can be collected)
@@ -418,6 +378,7 @@ func (s *Sim) release(slot int32) {
 	ev := &s.pool[slot]
 	ev.fn = nil
 	ev.runner = nil
+	ev.stream = nil
 	ev.idx = -1
 	ev.gen++
 	s.free = append(s.free, slot)
@@ -430,10 +391,9 @@ func (s *Sim) release(slot int32) {
 func (s *Sim) schedule(t Time) int32 { return s.scheduleStamped(t, s.now, 0) }
 
 // scheduleStamped is schedule with explicit scheduling-instant and
-// structural-key stamps: channel producers (netsim links) stamp their
-// canonical channel key, and barrier injection (shard.go) backdates an
-// injected handoff to the enqueue instant that produced it on its source
-// shard.
+// structural-key stamps: netsim link streams stamp their canonical channel
+// key, and barrier injection (shard.go) backdates an injected handoff to
+// the enqueue instant that produced it on its source shard.
 //
 //pdq:hotpath
 func (s *Sim) scheduleStamped(t, ta Time, tie uint64) int32 {
@@ -448,22 +408,14 @@ func (s *Sim) scheduleStamped(t, ta Time, tie uint64) int32 {
 		s.pool = append(s.pool, event{})
 		slot = int32(len(s.pool) - 1)
 	}
-	ev := &s.pool[slot]
-	ev.at, ev.ta, ev.tie, ev.seq = t, ta, tie, s.seq
-	s.seq++
-	if s.wheel != nil {
-		ev.idx = wheelIdx
-		s.wheel.insert(wheelEntry{at: t, ta: ta, tie: tie, seq: ev.seq, slot: slot, gen: ev.gen})
-		s.wheel.live++
-		if s.stats != nil {
-			s.stats.Scheduled.Inc()
-			s.stats.QueueHWM.Observe(int64(s.wheel.live))
-		}
-		return slot
+	n := len(s.order)
+	if n == cap(s.order) {
+		s.order = append(s.order, entry{})
+	} else {
+		s.order = s.order[:n+1]
 	}
-	ev.idx = int32(len(s.order))
-	s.order = append(s.order, slot)
-	s.siftUp(len(s.order) - 1)
+	s.siftUp(n, entry{at: t, ta: ta, tie: tie, seq: s.seq, slot: slot})
+	s.seq++
 	if s.stats != nil {
 		s.stats.Scheduled.Inc()
 		s.stats.QueueHWM.Observe(int64(len(s.order)))
@@ -478,20 +430,28 @@ func (s *Sim) atRunnerStamped(t, ta Time, tie uint64, r Runner) {
 	s.pool[slot].runner = r
 }
 
-// AtRunnerKeyed is AtRunner with an explicit structural tie-break key.
-// Channel producers (netsim links) stamp each delivery with their canonical
-// channel key so that same-(at, ta) deliveries order identically on the
-// single engine and across shard barriers (see the event doc).
+// StreamAt schedules one more event on st, to fire at t with the stamps
+// (Now, tie). The event must order after every event st already holds;
+// the stream's owner guarantees that (netsim checks it per link). first
+// reports whether st was empty before this event: only then does the
+// stream take an engine entry, keyed by this event. Otherwise the event
+// waits in st behind its predecessors and reaches the heap when the one
+// before it fires. Either way it counts as one scheduled event.
 //
 //pdq:hotpath
-func (s *Sim) AtRunnerKeyed(t Time, tie uint64, r Runner) EventRef {
-	if r == nil {
-		panic("sim: scheduling nil runner")
+func (s *Sim) StreamAt(t Time, tie uint64, st Stream, first bool) {
+	if !first {
+		if t < s.now {
+			s.panicPast(t)
+		}
+		s.streamed++
+		if s.stats != nil {
+			s.stats.Scheduled.Inc()
+		}
+		return
 	}
 	slot := s.scheduleStamped(t, s.now, tie)
-	ev := &s.pool[slot]
-	ev.runner = r
-	return EventRef{slot: slot + 1, gen: ev.gen}
+	s.pool[slot].stream = st
 }
 
 // panicPast is schedule's cold failure path, kept out of the annotated
@@ -516,7 +476,7 @@ func (s *Sim) At(t Time, fn func()) EventRef {
 
 // AtRunner schedules r.RunEvent to run at absolute time t. Unlike At with a
 // method value, storing the Runner interface does not allocate, so
-// per-object hot paths (one delivery event per packet) stay allocation-free.
+// per-object hot paths stay allocation-free.
 //
 //pdq:hotpath
 func (s *Sim) AtRunner(t Time, r Runner) EventRef {
@@ -534,7 +494,8 @@ func (s *Sim) After(d Duration, fn func()) EventRef { return s.At(s.now+d, fn) }
 
 // Cancel removes a scheduled event. Canceling an already-fired or
 // already-canceled event is a no-op. It reports whether the event was
-// actually removed.
+// actually removed. Stream events carry no EventRef and cannot be
+// canceled.
 //
 //pdq:hotpath
 func (s *Sim) Cancel(r EventRef) bool {
@@ -543,19 +504,6 @@ func (s *Sim) Cancel(r EventRef) bool {
 		return false
 	}
 	ev := &s.pool[slot]
-	if s.wheel != nil {
-		// Lazy cancellation: release the pool slot (the generation bump
-		// invalidates the wheel's entry copy, which is skipped at drain).
-		if ev.gen != r.gen || ev.idx != wheelIdx {
-			return false
-		}
-		s.release(slot)
-		s.wheel.live--
-		if s.stats != nil {
-			s.stats.Cancelled.Inc()
-		}
-		return true
-	}
 	if ev.gen != r.gen || ev.idx < 0 {
 		return false
 	}
@@ -586,10 +534,6 @@ func (s *Sim) Run() { s.RunUntil(MaxTime) }
 //     bookkeeping; advancing to an arbitrary horizon would make MaxTime
 //     overflow-prone (Run is RunUntil(MaxTime)).
 func (s *Sim) RunUntil(end Time) {
-	if s.wheel != nil {
-		s.runWheel(end)
-		return
-	}
 	s.halted = false
 	for len(s.order) > 0 && !s.halted {
 		if s.maxEvents != 0 && s.nRun >= s.maxEvents {
@@ -598,29 +542,52 @@ func (s *Sim) RunUntil(end Time) {
 		if s.nRun&(interruptStride-1) == 0 && s.interrupted.Load() {
 			panic(InterruptError{Events: s.nRun, At: s.now})
 		}
-		next := &s.pool[s.order[0]]
-		if next.at > end {
+		if s.order[0].at > end {
 			s.now = end
 			return
 		}
-		s.fire(next)
+		s.fire()
 	}
 }
 
-// fire executes the event at the head of the queue, recycling its slot
-// before the callback runs so the callback can immediately reschedule into
-// it. The event's seq is published through EventSeq for the duration.
+// fire executes the event at the root of the heap. A plain event's slot
+// is recycled before the callback runs, so the callback can immediately
+// reschedule into it. A stream's root entry is re-keyed in place to the
+// stream's next head and sifted down once — no pop, no push, no slot
+// churn — or released when the stream ran dry. Either way the event's
+// own (ta, tie) stamps are published through EventTa/EventTie for the
+// duration of the callback.
 //
 //pdq:hotpath
-func (s *Sim) fire(next *event) {
-	at, ta, tie, seq, fn, runner := next.at, next.ta, next.tie, next.seq, next.fn, next.runner
-	s.release(s.popMin())
+func (s *Sim) fire() {
+	// Field-wise reads, not a struct copy: see entry.set.
+	root := &s.order[0]
+	at, ta, tie, slot := root.at, root.ta, root.tie, root.slot
+	ev := &s.pool[slot]
+	fn, runner := ev.fn, ev.runner
+	if st := ev.stream; st != nil {
+		var next entry
+		var more bool
+		runner, next.at, next.ta, next.tie, more = st.PopHead()
+		if more {
+			next.seq, next.slot = s.seq, slot
+			s.seq++
+			s.streamed--
+			s.siftDown(0, next)
+		} else {
+			s.heapRemove(0)
+			s.release(slot)
+		}
+	} else {
+		s.heapRemove(0)
+		s.release(slot)
+	}
 	s.now = at
 	s.nRun++
 	if s.stats != nil {
 		s.stats.Fired.Inc()
 	}
-	s.firing = seq + 1
+	s.firing = true
 	s.firingTa = ta
 	s.firingTie = tie
 	if fn != nil {
@@ -628,74 +595,15 @@ func (s *Sim) fire(next *event) {
 	} else {
 		runner.RunEvent()
 	}
-	s.firing = 0
-}
-
-// runWheel is RunUntil over the wheel backend: identical end-clock and
-// guard semantics, with peek/pop replacing the heap's root access.
-func (s *Sim) runWheel(end Time) {
-	s.halted = false
-	for !s.halted {
-		e, ok := s.wheel.peek(s.pool)
-		if !ok {
-			return
-		}
-		// Guard order matches the heap loop: budget and interrupt trip
-		// only while events remain, so the two backends panic (or not) at
-		// identical points of identical histories.
-		if s.maxEvents != 0 && s.nRun >= s.maxEvents {
-			panic(EventLimitError{Events: s.nRun, At: s.now})
-		}
-		if s.nRun&(interruptStride-1) == 0 && s.interrupted.Load() {
-			panic(InterruptError{Events: s.nRun, At: s.now})
-		}
-		if e.at > end {
-			s.now = end
-			return
-		}
-		s.fireWheel(e)
-	}
-}
-
-// fireWheel consumes and executes the entry peek returned, mirroring
-// fire's recycle-before-callback discipline.
-//
-//pdq:hotpath
-func (s *Sim) fireWheel(e wheelEntry) {
-	ev := &s.pool[e.slot]
-	fn, runner := ev.fn, ev.runner
-	s.wheel.pop()
-	s.release(e.slot)
-	s.now = e.at
-	s.nRun++
-	if s.stats != nil {
-		s.stats.Fired.Inc()
-	}
-	s.firing = e.seq + 1
-	s.firingTa = e.ta
-	s.firingTie = e.tie
-	if fn != nil {
-		fn()
-	} else {
-		runner.RunEvent()
-	}
-	s.firing = 0
+	s.firing = false
 }
 
 // Step executes exactly one event if any is pending and reports whether an
 // event was executed.
 func (s *Sim) Step() bool {
-	if s.wheel != nil {
-		e, ok := s.wheel.peek(s.pool)
-		if !ok {
-			return false
-		}
-		s.fireWheel(e)
-		return true
-	}
 	if len(s.order) == 0 {
 		return false
 	}
-	s.fire(&s.pool[s.order[0]])
+	s.fire()
 	return true
 }

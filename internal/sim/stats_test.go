@@ -7,42 +7,63 @@ import (
 	"pdq/internal/obsv"
 )
 
-// TestSimStats pins the engine counters on both backends: every
-// schedule, fire and cancel is counted, and the queue high-water mark
-// sees the deepest pending set.
+// TestSimStats pins the engine counters: every schedule, fire and cancel
+// is counted, and the queue high-water mark sees the deepest pending set.
 func TestSimStats(t *testing.T) {
-	for _, wheel := range []bool{false, true} {
-		s := New()
-		if wheel {
-			s.UseWheel()
-		}
-		st := &obsv.EngineStats{}
-		s.SetStats(st)
+	s := New()
+	st := &obsv.EngineStats{}
+	s.SetStats(st)
 
-		var refs []EventRef
-		for i := 0; i < 5; i++ {
-			refs = append(refs, s.At(Time(100+i), func() {}))
-		}
-		if !s.Cancel(refs[2]) {
-			t.Fatal("cancel failed")
-		}
-		if s.Cancel(refs[2]) {
-			t.Fatal("double cancel succeeded")
-		}
-		s.Run()
+	var refs []EventRef
+	for i := 0; i < 5; i++ {
+		refs = append(refs, s.At(Time(100+i), func() {}))
+	}
+	if !s.Cancel(refs[2]) {
+		t.Fatal("cancel failed")
+	}
+	if s.Cancel(refs[2]) {
+		t.Fatal("double cancel succeeded")
+	}
+	s.Run()
 
-		if got := st.Scheduled.Value(); got != 5 {
-			t.Errorf("wheel=%v: scheduled = %d, want 5", wheel, got)
-		}
-		if got := st.Fired.Value(); got != 4 {
-			t.Errorf("wheel=%v: fired = %d, want 4", wheel, got)
-		}
-		if got := st.Cancelled.Value(); got != 1 {
-			t.Errorf("wheel=%v: cancelled = %d, want 1", wheel, got)
-		}
-		if got := st.QueueHWM.Value(); got != 5 {
-			t.Errorf("wheel=%v: queue HWM = %d, want 5", wheel, got)
-		}
+	if got := st.Scheduled.Value(); got != 5 {
+		t.Errorf("scheduled = %d, want 5", got)
+	}
+	if got := st.Fired.Value(); got != 4 {
+		t.Errorf("fired = %d, want 4", got)
+	}
+	if got := st.Cancelled.Value(); got != 1 {
+		t.Errorf("cancelled = %d, want 1", got)
+	}
+	if got := st.QueueHWM.Value(); got != 5 {
+		t.Errorf("queue HWM = %d, want 5", got)
+	}
+}
+
+// TestSimStatsStream pins the stream accounting: every stream event counts
+// as scheduled and fired, but a stream holds one heap entry however many
+// events wait in it, so the high-water mark counts engine entries.
+func TestSimStatsStream(t *testing.T) {
+	s := New()
+	st := &obsv.EngineStats{}
+	s.SetStats(st)
+	q := &testStream{s: s}
+	for i := 0; i < 4; i++ {
+		q.push(Time(10+i), uint64(1)<<32|uint64(i+1), func() {})
+	}
+	s.At(11, func() {})
+	if got := s.Pending(); got != 5 {
+		t.Errorf("pending = %d, want 5", got)
+	}
+	s.Run()
+	if got := st.Scheduled.Value(); got != 5 {
+		t.Errorf("scheduled = %d, want 5", got)
+	}
+	if got := st.Fired.Value(); got != 5 {
+		t.Errorf("fired = %d, want 5", got)
+	}
+	if got := st.QueueHWM.Value(); got != 2 {
+		t.Errorf("queue HWM = %d, want 2 (one stream entry + one timer)", got)
 	}
 }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # bench.sh — run the tier-1 perf benchmarks with -benchmem and fold the
-# numbers into a JSON record (default bench/BENCH_pr8.json) via
+# numbers into a JSON record (default bench/BENCH_pr12.json) via
 # scripts/benchjson. Perf records live under bench/ so the repo root
 # stays clean as the record set grows (bench/BENCH_pr2.json is the PR-2
 # zero-alloc rewrite; bench/BENCH_pr4.json adds the telemetry-overhead
@@ -17,7 +17,13 @@
 # within noise of Fig3a; bench/BENCH_pr10.json adds the ShardedPDQ
 # matrix pricing the widened sharding eligibility — the flow-list
 # protocol, telemetry and per-link loss streams all running under the
-# sharded engine, byte-identical to the single-engine cell).
+# sharded engine, byte-identical to the single-engine cell;
+# bench/BENCH_pr12.json re-records the set after the event heap moved to
+# inline keys and per-link delivery streams, which changed the code path
+# of the benchdiff calibration bench, EngineScheduleFire — its "before"
+# slot is the previous tree, its "after" slot this one. Every record is
+# one -count 1 sample per benchmark, so a ratio between two slots is a
+# single draw, not a measured speedup).
 #
 # Usage:
 #   scripts/bench.sh [record.json]
@@ -37,7 +43,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-OUT="${1:-bench/BENCH_pr10.json}"
+OUT="${1:-bench/BENCH_pr12.json}"
 PATTERN="${BENCH_PATTERN:-Fig3a\$|Fig10\$|AblationPDQVariants|EngineSchedule|FlowAllocators|TraceSinkOverhead|DCTCPIncast|PFabricWebsearch|ShardedFatTree|ShardedPDQ|ObsvOverhead}"
 TIME="${BENCH_TIME:-1s}"
 
